@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   // Spectra per region with Doppler check.
   for (auto region : {pic::KhiRegion::kApproaching,
                       pic::KhiRegion::kReceding, pic::KhiRegion::kVortex}) {
-    const auto spectrum = plugin->accumulator(region).intensity(0);
+    const auto spectrum = plugin->intensity(region);
     std::printf("%s\n",
                 ascii::plot(det.frequencies,
                             {{pic::khiRegionName(region), spectrum, '#'}},
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
 
   // Doppler asymmetry: intensity-weighted mean frequency per stream.
   auto meanFreq = [&](pic::KhiRegion region) {
-    const auto spec = plugin->accumulator(region).intensity(0);
+    const auto spec = plugin->intensity(region);
     double num = 0, den = 0;
     for (std::size_t f = 0; f < spec.size(); ++f) {
       num += spec[f] * det.frequencies[f];

@@ -66,7 +66,7 @@ void KhiStreamProducer::emitIteration(long index) {
         .component(pic::khiRegionName(region))
         .storeChunk(std::move(cloud), {0, 0}, {P, 6}, {P, 6});
 
-    const auto raw = radiationPlugin_->accumulator(region).intensity(0);
+    const auto raw = radiationPlugin_->intensity(region);
     auto spectrum = normalizeSpectrum(raw, cfg_.transform);
     itRadiation.mesh("radiation")
         .component(pic::khiRegionName(region))
@@ -86,11 +86,7 @@ void KhiStreamProducer::run() {
       emitIteration(iterationsStreamed_);
       // Windowed spectra: reset so the next emission reflects the most
       // recent dynamics, matching the per-time-step training pairs.
-      for (int r = 0; r < 3; ++r) {
-        const_cast<radiation::SpectralAccumulator&>(
-            radiationPlugin_->accumulator(static_cast<pic::KhiRegion>(r)))
-            .reset();
-      }
+      radiationPlugin_->accumulator().reset();
     }
   }
   particleSeries_->close();

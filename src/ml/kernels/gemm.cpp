@@ -4,23 +4,10 @@
 #include <cmath>
 #include <vector>
 
+#include "common/target_clones.hpp"
+
 namespace artsci::ml::kernels {
 namespace {
-
-/// GCC-on-Linux gets per-CPU clones of each hot kernel (ifunc dispatch);
-/// other toolchains and sanitized builds use the single portable version.
-/// Ifunc resolvers run at IRELATIVE-relocation time, before .preinit_array,
-/// so a sanitizer-instrumented resolver (GCC instruments them) faults in
-/// __tsan_func_entry before the runtime exists. Hence no clones under
-/// ASan *or* TSan.
-#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
-    defined(__linux__) && !defined(__SANITIZE_ADDRESS__) &&            \
-    !defined(__SANITIZE_THREAD__)
-#define ARTSCI_GEMM_CLONES \
-  __attribute__((target_clones("avx512f", "avx2,fma", "default")))
-#else
-#define ARTSCI_GEMM_CLONES
-#endif
 
 /// Row-chunk size of the OpenMP partition. A multiple of the 4-row
 /// register block so interior chunks never hit the tail path; the fixed
@@ -59,7 +46,7 @@ inline void activateRow(Real* c, long n, Act act) {
 /// strictly k-ascending from its initial value, in *every* path (4-row
 /// block, row tail, odd-K step), so blocking never changes bits. A rows
 /// are strided by `lda` (dense A passes lda == K).
-ARTSCI_GEMM_CLONES
+ARTSCI_TARGET_CLONES
 void nnBlock(const Real* __restrict a, const Real* __restrict b,
              Real* __restrict c, long rows, long N, long K, long lda,
              bool accumulate) {
@@ -169,7 +156,7 @@ inline Real dotLanes(const Real* __restrict x, const Real* __restrict y,
 /// `rows` rows of C = A·Bᵀ. Four A rows share each streamed B row; every
 /// (i,j) element is one dotLanes() call. C rows are strided by `ldc`
 /// (dense C passes ldc == N).
-ARTSCI_GEMM_CLONES
+ARTSCI_TARGET_CLONES
 void ntBlock(const Real* __restrict a, const Real* __restrict b,
              Real* __restrict c, long rows, long N, long K, long ldc,
              bool accumulate) {
@@ -209,7 +196,7 @@ void ntBlock(const Real* __restrict a, const Real* __restrict b,
 /// `rows` rows of C = Aᵀ·B starting at A column `a` (row stride
 /// `strideA`). Same 4-row/2-k streaming block as nnBlock with strided A
 /// loads; per-element order is k ascending in every path.
-ARTSCI_GEMM_CLONES
+ARTSCI_TARGET_CLONES
 void tnBlock(const Real* __restrict a, const Real* __restrict b,
              Real* __restrict c, long rows, long N, long K, long strideA,
              bool accumulate) {
@@ -271,7 +258,7 @@ void tnBlock(const Real* __restrict a, const Real* __restrict b,
 /// The serving epilogue: bias rows + activation over the GEMM result.
 /// One extra O(m·n) pass over C (which just left the register tile, so it
 /// is cache-hot) — the O(m·n·k) product itself is nnBlock, unduplicated.
-ARTSCI_GEMM_CLONES
+ARTSCI_TARGET_CLONES
 void biasActEpilogue(const Real* __restrict bias, Real* __restrict c, long m,
                      long n, Act act) {
   for (long i = 0; i < m; ++i) {

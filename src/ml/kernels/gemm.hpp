@@ -19,10 +19,10 @@
 /// bits (tests/ml/test_gemm_kernels.cpp pins this against the naive
 /// triple loop).
 ///
-/// Dispatch: on GCC/x86-64/Linux (non-sanitized) each inner kernel is
-/// compiled as GCC `target_clones("avx512f","avx2,fma","default")` — the
-/// dynamic linker picks the widest ISA once at load via ifunc. Elsewhere a
-/// single portable version is built.
+/// Dispatch: on GCC/x86-64/Linux (non-sanitized) each inner kernel carries
+/// `ARTSCI_TARGET_CLONES` (common/target_clones.hpp) — the dynamic linker
+/// picks the widest ISA once at load via ifunc. Elsewhere a single
+/// portable version is built.
 ///
 /// Determinism invariant (mirrors the PR 3 tiled-deposition contract):
 /// every output element's floating-point accumulation order is a function

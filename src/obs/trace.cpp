@@ -58,12 +58,13 @@ void TraceRecorder::setCapacity(std::size_t eventsPerThread) {
 }
 
 TraceRecorder::ThreadLog& TraceRecorder::local() {
-  // One registration per thread lifetime; the shared_ptr keeps the ring
+  // One registration per thread lifetime; the shared_ptr keeps the log
   // alive in logs_ after the thread exits so post-join flushes see it.
+  // The ring itself waits for the thread's first span (record()), so a
+  // thread that only names itself costs a label, not a ring.
   thread_local ThreadLog* log = [this] {
     auto fresh = std::make_shared<ThreadLog>();
     std::lock_guard<std::mutex> lock(mutex_);
-    fresh->ring.resize(capacity_);
     fresh->tid = static_cast<int>(logs_.size());
     logs_.push_back(fresh);
     return fresh.get();
@@ -74,6 +75,10 @@ TraceRecorder::ThreadLog& TraceRecorder::local() {
 void TraceRecorder::record(const char* category, const char* name,
                            std::uint64_t beginNs, std::uint64_t endNs) {
   ThreadLog& log = local();
+  if (log.ring.empty()) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    log.ring.resize(capacity_);
+  }
   const std::uint64_t h = log.head.load(std::memory_order_relaxed);
   log.ring[h % log.ring.size()] = Event{category, name, beginNs, endNs};
   log.head.store(h + 1, std::memory_order_release);
@@ -99,6 +104,13 @@ std::size_t TraceRecorder::eventCount() const {
     total += static_cast<std::size_t>(
         h < log->ring.size() ? h : static_cast<std::uint64_t>(log->ring.size()));
   }
+  return total;
+}
+
+std::size_t TraceRecorder::reservedEvents() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::size_t total = 0;
+  for (const auto& log : logs_) total += log->ring.size();
   return total;
 }
 

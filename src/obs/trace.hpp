@@ -64,7 +64,7 @@ class TraceRecorder {
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Ring capacity (events) for buffers created *after* the call; when a
+  /// Ring capacity (events) for rings allocated *after* the call; when a
   /// ring is full the oldest events are overwritten and counted dropped.
   void setCapacity(std::size_t eventsPerThread);
 
@@ -83,6 +83,9 @@ class TraceRecorder {
 
   /// Total spans currently buffered across all threads (quiescent only).
   std::size_t eventCount() const;
+  /// Ring slots allocated across all threads (quiescent only). A thread
+  /// gets its ring on its first recorded span, not when it names itself.
+  std::size_t reservedEvents() const;
   /// Spans overwritten because a ring wrapped (quiescent only).
   std::uint64_t droppedCount() const;
   /// Drop all buffered spans; rings and thread labels survive.

@@ -1,11 +1,14 @@
 #include "radiation/plugin.hpp"
 
+#include "obs/trace.hpp"
+
 namespace artsci::radiation {
 
 RadiationPlugin::RadiationPlugin(DetectorConfig cfg, std::size_t speciesIdx)
     : speciesIdx_(speciesIdx), acc_(std::move(cfg)) {}
 
 void RadiationPlugin::onStepEnd(pic::Simulation& sim) {
+  TRACE_SCOPE("radiation", "accumulate");
   const auto& particles = sim.species(speciesIdx_);
   acc_.accumulate(particles, sim.betaDotX(speciesIdx_),
                   sim.betaDotY(speciesIdx_), sim.betaDotZ(speciesIdx_),
@@ -15,30 +18,26 @@ void RadiationPlugin::onStepEnd(pic::Simulation& sim) {
 RegionRadiationPlugin::RegionRadiationPlugin(DetectorConfig cfg,
                                              std::size_t speciesIdx,
                                              double vortexHalfWidthCells)
-    : speciesIdx_(speciesIdx), vortexHalfWidth_(vortexHalfWidthCells) {
-  for (int r = 0; r < 3; ++r) acc_.emplace_back(cfg);
-}
+    : speciesIdx_(speciesIdx),
+      vortexHalfWidth_(vortexHalfWidthCells),
+      acc_(std::move(cfg), 3) {}
 
-const SpectralAccumulator& RegionRadiationPlugin::accumulator(
-    pic::KhiRegion region) const {
-  return acc_[static_cast<std::size_t>(region)];
+std::vector<double> RegionRadiationPlugin::intensity(
+    pic::KhiRegion region, std::size_t directionIdx) const {
+  return acc_.intensity(directionIdx, static_cast<std::size_t>(region));
 }
 
 void RegionRadiationPlugin::onStepEnd(pic::Simulation& sim) {
+  TRACE_SCOPE("radiation", "accumulate");
   const auto& particles = sim.species(speciesIdx_);
   const long ny = sim.grid().ny;
-  std::vector<std::size_t> subset[3];
-  for (std::size_t i = 0; i < particles.size(); ++i) {
-    const auto region =
-        pic::classifyKhiRegion(particles.y[i], ny, vortexHalfWidth_);
-    subset[static_cast<std::size_t>(region)].push_back(i);
-  }
-  for (int r = 0; r < 3; ++r) {
-    acc_[static_cast<std::size_t>(r)].accumulate(
-        particles, sim.betaDotX(speciesIdx_), sim.betaDotY(speciesIdx_),
-        sim.betaDotZ(speciesIdx_), sim.time(), sim.dt(), sim.grid(),
-        &subset[r]);
-  }
+  region_.resize(particles.size());
+  for (std::size_t i = 0; i < particles.size(); ++i)
+    region_[i] = static_cast<std::uint8_t>(
+        pic::classifyKhiRegion(particles.y[i], ny, vortexHalfWidth_));
+  acc_.accumulate(particles, sim.betaDotX(speciesIdx_),
+                  sim.betaDotY(speciesIdx_), sim.betaDotZ(speciesIdx_),
+                  sim.time(), sim.dt(), sim.grid(), region_);
 }
 
 }  // namespace artsci::radiation

@@ -28,7 +28,8 @@ class RadiationPlugin : public pic::Plugin {
   SpectralAccumulator acc_;
 };
 
-/// Region-resolved variant: one accumulator per KHI region.
+/// Region-resolved variant: one accumulator group per KHI region
+/// (group index = static_cast<std::size_t>(KhiRegion)).
 class RegionRadiationPlugin : public pic::Plugin {
  public:
   RegionRadiationPlugin(DetectorConfig cfg, std::size_t speciesIdx,
@@ -37,12 +38,18 @@ class RegionRadiationPlugin : public pic::Plugin {
   const char* name() const override { return "radiation/regions"; }
   void onStepEnd(pic::Simulation& sim) override;
 
-  const SpectralAccumulator& accumulator(pic::KhiRegion region) const;
+  /// |A|^2 spectrum of one region along direction `directionIdx`.
+  std::vector<double> intensity(pic::KhiRegion region,
+                                std::size_t directionIdx = 0) const;
+
+  const SpectralAccumulator& accumulator() const { return acc_; }
+  SpectralAccumulator& accumulator() { return acc_; }
 
  private:
   std::size_t speciesIdx_;
   double vortexHalfWidth_;
-  std::vector<SpectralAccumulator> acc_;  ///< indexed by KhiRegion
+  SpectralAccumulator acc_;
+  std::vector<std::uint8_t> region_;  ///< per-particle label, reused
 };
 
 }  // namespace artsci::radiation

@@ -1,5 +1,6 @@
 #include "stream/sst.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 
@@ -394,6 +395,10 @@ std::vector<const Block*> SstEngine::Reader::myBlocks(
     if (b.writerRank % engine_.params_.readerRanks == rank_)
       out.push_back(&b);
   }
+  // Writer ranks put concurrently; list their blocks by rank, not arrival.
+  std::stable_sort(out.begin(), out.end(), [](const Block* a, const Block* b) {
+    return a->writerRank < b->writerRank;
+  });
   return out;
 }
 

@@ -167,7 +167,8 @@ class SstEngine {
 
     /// Locality-aware default assignment: blocks whose writerRank maps to
     /// this reader (writerRank % readerRanks == rank) — "data is shared
-    /// within node boundaries" (paper §IV-D).
+    /// within node boundaries" (paper §IV-D). Listed by ascending writer
+    /// rank, whatever order the writers put them in.
     std::vector<const Block*> myBlocks(const StepData& step,
                                        const std::string& variable) const;
 

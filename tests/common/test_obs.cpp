@@ -268,5 +268,22 @@ TEST(ObsTrace, PerThreadRankAttribution) {
   rec.clear();
 }
 
+TEST(ObsTrace, NamingAThreadReservesNoRing) {
+  // Trainer ranks are fresh threads per training call and always name
+  // themselves; with tracing off that must not cost a ring per thread.
+  auto& rec = TraceRecorder::instance();
+  rec.setEnabled(false);
+  const std::size_t before = rec.reservedEvents();
+  for (int i = 0; i < 64; ++i) {
+    std::thread t([&rec, i] {
+      rec.setThreadRank(i % 4);
+      rec.setThreadName("short-lived " + std::to_string(i));
+      TRACE_SCOPE("test", "disabled_span");
+    });
+    t.join();
+  }
+  EXPECT_EQ(rec.reservedEvents(), before);
+}
+
 }  // namespace
 }  // namespace artsci::obs

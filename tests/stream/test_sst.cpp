@@ -407,13 +407,18 @@ TEST(Sst, InjectedPeerDeathAbortsTheWholeGroup) {
       fault::Plan::parseSpec("sst.writer.end_step@2:die"));
   SstEngine engine(SstParams{1, 1, /*queueLimit=*/2});
 
+  // The writer dies only after the reader holds step 0. Without this gate
+  // the death can land first, and the stream's fail-fast rule then refuses
+  // the reader even the queued step 0.
+  std::atomic<bool> readerHasStep0{false};
   std::atomic<bool> writerDied{false};
-  std::thread producer([&] {
+  std::jthread producer([&] {
     auto writer = engine.makeWriter(0);
     try {
       for (long s = 0; s < 3; ++s) {
         writer.beginStep();
         writer.put("v", makeBlock({double(s)}, {0}, {1}), {1});
+        if (s == 1) readerHasStep0.wait(false);
         writer.endStep();
       }
       writer.close();
@@ -421,12 +426,23 @@ TEST(Sst, InjectedPeerDeathAbortsTheWholeGroup) {
       writerDied.store(true);
     }
   });
+  // Declared after `producer`, so it runs first on every way out of this
+  // test — a failed ASSERT included: the writer is released, then joined.
+  struct OpenGateOnExit {
+    std::atomic<bool>& gate;
+    ~OpenGateOnExit() {
+      gate.store(true);
+      gate.notify_all();
+    }
+  } openGate{readerHasStep0};
 
   auto reader = engine.makeReader(0);
   auto step0 = reader.beginStep();
   ASSERT_NE(step0, nullptr);
   EXPECT_EQ(step0->step, 0);
   reader.endStep();
+  readerHasStep0.store(true);
+  readerHasStep0.notify_all();
   try {
     while (auto step = reader.beginStep()) reader.endStep();
     FAIL() << "reader saw clean end-of-stream from a dead peer";
