@@ -2,13 +2,14 @@
 /// Per-CPU function multiversioning for the hot numeric kernels (the GEMM
 /// blocks in ml/kernels, the radiation phase sum): put
 /// `ARTSCI_TARGET_CLONES` before a definition and GCC emits one clone per
-/// listed target, picked once per process by an ifunc resolver. GCC splits
-/// the "avx2,fma" string into two targets, so the clones are avx512f,
-/// avx2, fma and default; a CPU with AVX2 and FMA but no AVX-512 runs the
-/// avx2 clone. Keep OpenMP parallel regions *outside* cloned functions and
-/// call the clone per work item. A kernel that must give the same bits in
-/// every clone is compiled with -ffp-contract=off (the fma clone would
-/// otherwise fuse multiply-adds).
+/// listed target, picked once per process by an ifunc resolver. The clones
+/// are avx512f, x86-64-v3 (AVX2 + FMA + BMI2, as one target: GCC would
+/// split an "avx2,fma" entry into two separate clones) and default; a CPU
+/// with AVX2 and FMA but no AVX-512 runs the x86-64-v3 clone. Keep OpenMP
+/// parallel regions *outside* cloned functions and call the clone per work
+/// item. A kernel that must give the same bits in every clone is compiled
+/// with -ffp-contract=off (the FMA-capable clones would otherwise fuse
+/// multiply-adds).
 ///
 /// GCC-on-Linux only; other toolchains and sanitized builds use the single
 /// portable version. Ifunc resolvers run at IRELATIVE-relocation time,
@@ -21,7 +22,7 @@
     defined(__linux__) && !defined(__SANITIZE_ADDRESS__) &&            \
     !defined(__SANITIZE_THREAD__)
 #define ARTSCI_TARGET_CLONES \
-  __attribute__((target_clones("avx512f", "avx2,fma", "default")))
+  __attribute__((target_clones("avx512f", "arch=x86-64-v3", "default")))
 #else
 #define ARTSCI_TARGET_CLONES
 #endif

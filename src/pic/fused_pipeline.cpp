@@ -4,6 +4,7 @@
 #include <omp.h>
 #endif
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -15,6 +16,14 @@ namespace artsci::pic {
 
 namespace {
 
+/// Below this many particles the tile pass runs on the calling thread.
+/// An empty parallel region of a 4-thread team cost 2 us with the team
+/// spinning and 17 us once it sleeps (libgomp, 4-vCPU VM, Release), and
+/// the pass costs about 460 ns per particle on one thread; from 128
+/// particles (~60 us) the team saves several times its start-up. Same
+/// bits either way: no sum order depends on the team.
+constexpr std::size_t kMinParallelParticles = 128;
+
 /// Read accessor over one component's halo-padded tile cache. Global node
 /// indices translate by the padded origin with precomputed strides — the
 /// per-access periodic wrap (three modulo ops per Field3::at) is gone;
@@ -25,11 +34,47 @@ struct CacheAt {
   long originY;  ///< global y of padded local index 0 (tile y0 - 1)
   long strideY;  ///< padded y extent
   long strideZ;  ///< padded z extent
-  double operator()(long i, long j, long k) const {
-    return base[((i - originX) * strideY + (j - originY)) * strideZ +
-                (k + 1)];
+  const double* at(long i, long j, long k) const {
+    return base + ((i - originX) * strideY + (j - originY)) * strideZ +
+           (k + 1);
   }
 };
+
+/// Largest particle block whose staggered (floor, frac) pairs are staged.
+constexpr std::size_t kBlock = 64;
+
+/// The 6 distinct staggered (floor, frac) pairs of a block of particles,
+/// SoA: index [s][u] is the pair for stagger offset s ? 0.5 : 0.0 of
+/// particle u of the block.
+struct StagedPairs {
+  long ix[2][kBlock], iy[2][kBlock], iz[2][kBlock];
+  double fx[2][kBlock], fy[2][kBlock], fz[2][kBlock];
+};
+
+/// CIC gather of one Yee component whose stagger selector (0 -> offset
+/// 0.0 pair, 1 -> offset 0.5 pair, per axis) is fixed at compile time.
+/// The 8 corners sit at fixed offsets from one base pointer, and the
+/// terms add in (a,b,c)-ascending order with gatherStaggeredAt's weight
+/// expression, so the value is bit-identical to the split path's.
+template <int SX, int SY, int SZ>
+double gatherComponent(const CacheAt& f, const StagedPairs& st,
+                       std::size_t u) {
+  const double fxv = st.fx[SX][u], fyv = st.fy[SY][u], fzv = st.fz[SZ][u];
+  const double gx = 1.0 - fxv, gy = 1.0 - fyv, gz = 1.0 - fzv;
+  const double* c = f.at(st.ix[SX][u], st.iy[SY][u], st.iz[SZ][u]);
+  const long dx = f.strideY * f.strideZ;
+  const long dy = f.strideZ;
+  double acc = 0.0;
+  acc += gx * gy * gz * c[0];
+  acc += gx * gy * fzv * c[1];
+  acc += gx * fyv * gz * c[dy];
+  acc += gx * fyv * fzv * c[dy + 1];
+  acc += fxv * gy * gz * c[dx];
+  acc += fxv * gy * fzv * c[dx + 1];
+  acc += fxv * fyv * gz * c[dx + dy];
+  acc += fxv * fyv * fzv * c[dx + dy + 1];
+  return acc;
+}
 
 /// Copy `f` over the tile's gather footprint [x0-1, x0+spanX+1) x
 /// [y0-1, ...) x [-1, nz+1) into `dst`, wrapping once per cache row. The
@@ -93,16 +138,18 @@ void FusedPipeline::pushAndScatter(ParticleBuffer& p, const VectorField& E,
                  (bdx == nullptr) == (bdz == nullptr));
   const std::size_t n = p.size();
 
-  // The one binning pass of the step: supercell sort by the pre-push
-  // (= Esirkepov-center) position, canonical phase-space order within
-  // each tile — the same order the split path's pre-push sort leaves the
-  // buffer in (its deposit re-binning is stable, hence order-preserving),
-  // which is what keeps the two paths bit-identical. Runs even for an
-  // empty buffer so index() always reflects *this* call's occupancy.
+  // The one binning pass of the step, by the pre-push (= Esirkepov-
+  // center) position. bin() is stable, so each tile keeps last step's
+  // canonical order; the tile pass below restores the canonical order of
+  // the few particles that moved, the same order the split path's
+  // SupercellIndex::sort leaves the buffer in (its deposit re-binning is
+  // stable, hence order-preserving), which is what keeps the two paths
+  // bit-identical. Runs even for an empty buffer so index() always
+  // reflects *this* call's occupancy.
   bool wrapped;
   {
     TRACE_SCOPE("pic", "supercell_sort");
-    wrapped = index_.sort(p);
+    wrapped = index_.bin(p.x.data(), p.y.data(), p.z.data(), n);
   }
   ARTSCI_EXPECTS_MSG(wrapped,
                      "fused pipeline: particle position outside [0, n) — "
@@ -114,6 +161,10 @@ void FusedPipeline::pushAndScatter(ParticleBuffer& p, const VectorField& E,
     bdy->resize(n);
     bdz->resize(n);
   }
+  // The tile pass reads `p` only to gather each tile into `s`, then
+  // updates `s`; the columns are swapped after the region.
+  staging_.resize(n);
+  ParticleBuffer& s = staging_;
 
   const double qOverM = p.info().charge / p.info().mass;
   const double q = p.info().charge;
@@ -141,30 +192,36 @@ void FusedPipeline::pushAndScatter(ParticleBuffer& p, const VectorField& E,
 #else
   const std::size_t teamSize = 1;
 #endif
-  if (caches_.size() < teamSize) caches_.resize(teamSize);
+  if (threads_.size() < teamSize) threads_.resize(teamSize);
 
 #ifdef _OPENMP
-#pragma omp parallel reduction(&& : displacementOk)
+#pragma omp parallel reduction(&& : displacementOk) \
+    if (n >= kMinParallelParticles)
 #endif
   {
     // One span per worker thread covering its whole share of the tile
     // loop — per-tile (let alone per-particle) spans would swamp the ring.
     TRACE_SCOPE("pic", "tile_pass");
-    // This thread's E/B read-cache arena, reused across its tiles and
-    // across steps (grow-only; no allocation in the steady state).
+    // This thread's scratch, reused across its tiles and across steps
+    // (grow-only; no allocation in the steady state).
 #ifdef _OPENMP
-    std::vector<double>& cache =
-        caches_[static_cast<std::size_t>(omp_get_thread_num())];
+    ThreadScratch& mine =
+        threads_[static_cast<std::size_t>(omp_get_thread_num())];
 #else
-    std::vector<double>& cache = caches_[0];
+    ThreadScratch& mine = threads_[0];
 #endif
-    cache.resize(6 * compStride);
+    mine.cache.resize(6 * compStride);
+    double* const cache = mine.cache.data();
 #ifdef _OPENMP
 #pragma omp for schedule(dynamic)
 #endif
     for (long t = 0; t < tiles; ++t) {
       const SupercellIndex::Range range = index_.tileRange(t);
       if (range.begin == range.end) continue;
+      // Canonical order of this tile, gathered into the staging columns
+      // while the tile is still in cache; the pass runs on those.
+      index_.orderTile(t, p, s, mine.keys);
+
       const DepositBuffer::TileExtent e = accum.extentOf(t);
       const long spanX = e.x1 - e.x0;
       const long spanY = e.y1 - e.y0;
@@ -173,10 +230,10 @@ void FusedPipeline::pushAndScatter(ParticleBuffer& p, const VectorField& E,
 
       const Field3* comps[6] = {&E.x, &E.y, &E.z, &B.x, &B.y, &B.z};
       for (int c = 0; c < 6; ++c)
-        fillCache(cache.data() + static_cast<std::size_t>(c) * compStride,
+        fillCache(cache + static_cast<std::size_t>(c) * compStride,
                   *comps[c], e.x0, spanX, e.y0, spanY, g);
       const auto at = [&](int c) {
-        return CacheAt{cache.data() + static_cast<std::size_t>(c) * compStride,
+        return CacheAt{cache + static_cast<std::size_t>(c) * compStride,
                        e.x0 - 1, e.y0 - 1, padY, padZ};
       };
       const CacheAt ex = at(0), ey = at(1), ez = at(2);
@@ -189,80 +246,54 @@ void FusedPipeline::pushAndScatter(ParticleBuffer& p, const VectorField& E,
       // staggered (floor, frac) pairs — two per axis — not the 18 the
       // six per-component gatherStaggeredAt calls recomputed. Phase 1
       // stages those pairs for a block of particles in SoA form (a flat
-      // simd loop); the per-particle pass then reads its pairs from the
-      // staging arrays and accumulates the 8 corners per component in
-      // registers — corner terms add in (a,b,c)-ascending order with the
-      // exact gatherStaggeredAt weight expression, so every field value
-      // is bit-identical to the split path's gatherE/B (pinned by
-      // test_fused_pipeline). Keeping the corner accumulation
+      // simd loop); the per-particle pass then gathers each component
+      // from its compile-time pair selection (gatherComponent), so every
+      // field value is bit-identical to the split path's gatherE/B
+      // (pinned by test_fused_pipeline). Keeping the corner accumulation
       // particle-outer matters: a corner-outer/particle-inner layout is
       // an indirect gather the compiler cannot vectorize, and measured
       // ~20% slower end-to-end than this form.
-      constexpr std::size_t kBlock = 64;
-      long ix[2][kBlock], iy[2][kBlock], iz[2][kBlock];
-      double fx[2][kBlock], fy[2][kBlock], fz[2][kBlock];
-      const CacheAt comps6[6] = {ex, ey, ez, bx, by, bz};
-      // Per component and axis: 0 -> offset 0.0 pair, 1 -> offset 0.5.
-      static constexpr int sel[6][3] = {{1, 0, 0}, {0, 1, 0}, {0, 0, 1},
-                                        {0, 1, 1}, {1, 0, 1}, {1, 1, 0}};
-
+      StagedPairs st;
       for (std::size_t blk = range.begin; blk < range.end; blk += kBlock) {
         const std::size_t m = std::min(kBlock, range.end - blk);
-        for (int s = 0; s < 2; ++s) {
-          const double off = s ? 0.5 : 0.0;
+        for (int h = 0; h < 2; ++h) {
+          const double off = h ? 0.5 : 0.0;
 #ifdef _OPENMP
 #pragma omp simd
 #endif
           for (std::size_t u = 0; u < m; ++u) {
-            const double gx = p.x[blk + u] - off;
-            const double gy = p.y[blk + u] - off;
-            const double gz = p.z[blk + u] - off;
+            const double gx = s.x[blk + u] - off;
+            const double gy = s.y[blk + u] - off;
+            const double gz = s.z[blk + u] - off;
             const long i0 = static_cast<long>(std::floor(gx));
             const long j0 = static_cast<long>(std::floor(gy));
             const long k0 = static_cast<long>(std::floor(gz));
-            ix[s][u] = i0;
-            iy[s][u] = j0;
-            iz[s][u] = k0;
-            fx[s][u] = gx - static_cast<double>(i0);
-            fy[s][u] = gy - static_cast<double>(j0);
-            fz[s][u] = gz - static_cast<double>(k0);
+            st.ix[h][u] = i0;
+            st.iy[h][u] = j0;
+            st.iz[h][u] = k0;
+            st.fx[h][u] = gx - static_cast<double>(i0);
+            st.fy[h][u] = gy - static_cast<double>(j0);
+            st.fz[h][u] = gz - static_cast<double>(k0);
           }
         }
         for (std::size_t u = 0; u < m; ++u) {
           const std::size_t i = blk + u;
-          const double ox = p.x[i], oy = p.y[i], oz = p.z[i];
-          double field[6];  // Ex Ey Ez Bx By Bz
-          for (int comp = 0; comp < 6; ++comp) {
-            const CacheAt& f = comps6[comp];
-            const long i0 = ix[sel[comp][0]][u];
-            const long j0 = iy[sel[comp][1]][u];
-            const long k0 = iz[sel[comp][2]][u];
-            const double fxv = fx[sel[comp][0]][u];
-            const double fyv = fy[sel[comp][1]][u];
-            const double fzv = fz[sel[comp][2]][u];
-            double acc = 0.0;
-            for (int a = 0; a < 2; ++a) {
-              const double wxp = a ? fxv : 1.0 - fxv;
-              for (int b = 0; b < 2; ++b) {
-                const double wyp = b ? fyv : 1.0 - fyv;
-                for (int c = 0; c < 2; ++c) {
-                  const double wzp = c ? fzv : 1.0 - fzv;
-                  acc += wxp * wyp * wzp * f(i0 + a, j0 + b, k0 + c);
-                }
-              }
-            }
-            field[comp] = acc;
-          }
-          const Vec3d Ep{field[0], field[1], field[2]};
-          const Vec3d Bp{field[3], field[4], field[5]};
+          const double ox = s.x[i], oy = s.y[i], oz = s.z[i];
+          // Per component the (x, y, z) selector is its Yee stagger.
+          const Vec3d Ep{gatherComponent<1, 0, 0>(ex, st, u),
+                         gatherComponent<0, 1, 0>(ey, st, u),
+                         gatherComponent<0, 0, 1>(ez, st, u)};
+          const Vec3d Bp{gatherComponent<0, 1, 1>(bx, st, u),
+                         gatherComponent<1, 0, 1>(by, st, u),
+                         gatherComponent<1, 1, 0>(bz, st, u)};
           // (b) push + move.
-          const Vec3d uOld{p.ux[i], p.uy[i], p.uz[i]};
+          const Vec3d uOld{s.ux[i], s.uy[i], s.uz[i]};
           const double gOld = std::sqrt(1.0 + uOld.dot(uOld));
           const Vec3d uNew = borisPush(uOld, Ep, Bp, qOverM, dt);
           const double gNew = std::sqrt(1.0 + uNew.dot(uNew));
-          p.ux[i] = uNew.x;
-          p.uy[i] = uNew.y;
-          p.uz[i] = uNew.z;
+          s.ux[i] = uNew.x;
+          s.uy[i] = uNew.y;
+          s.uz[i] = uNew.z;
           if (bdx != nullptr) {
             (*bdx)[i] = (uNew.x / gNew - uOld.x / gOld) / dt;
             (*bdy)[i] = (uNew.y / gNew - uOld.y / gOld) / dt;
@@ -278,16 +309,19 @@ void FusedPipeline::pushAndScatter(ParticleBuffer& p, const VectorField& E,
           // tile's private accumulator — the support-clipped bit-exact
           // replica of detail::scatterEsirkepov.
           DepositBuffer::scatterEsirkepovTile(g, ox, oy, oz, nx1, ny1, nz1,
-                                              q * p.w[i], dt, sink);
+                                              q * s.w[i], dt, sink);
           // (d) wrap in place — the old position died in this iteration's
           // registers; no snapshot vectors, no separate wrap sweep.
-          p.x[i] = wrapCoordinate(nx1, lx);
-          p.y[i] = wrapCoordinate(ny1, ly);
-          p.z[i] = wrapCoordinate(nz1, lz);
+          s.x[i] = wrapCoordinate(nx1, lx);
+          s.y[i] = wrapCoordinate(ny1, ly);
+          s.z[i] = wrapCoordinate(nz1, lz);
         }
       }
     }
   }
+  // Every slot was written by exactly one tile's gather: the staging
+  // columns now hold the whole updated buffer in canonical order.
+  p.swapColumns(s);
   ARTSCI_EXPECTS_MSG(displacementOk,
                      "fused pipeline: particle displacement >= 1 cell in one "
                      "step — dt violates the CFL displacement bound");

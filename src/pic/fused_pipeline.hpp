@@ -2,24 +2,33 @@
 /// Supercell-fused particle pipeline (PIConGPU's supercell design
 /// [Hoenig et al. 2010] applied to the whole particle update): one stable
 /// counting sort per step, then a single per-tile pass that
+///  (o) puts the tile in canonical order and gathers it into staging
+///      columns (SupercellIndex::orderTile — incremental, since the tile
+///      arrives in last step's order),
 ///  (a) gathers E/B from per-tile halo-padded read caches — precomputed
-///      strides, no per-access periodic-wrap arithmetic,
+///      strides, no per-access periodic-wrap arithmetic, the 8 corners of
+///      each Yee component at fixed offsets from one base index,
 ///  (b) runs the Boris push and the move,
 ///  (c) scatters Esirkepov current straight into the tile's private
 ///      DepositBuffer accumulator, and
-///  (d) wraps positions in place.
+///  (d) wraps positions in place,
+/// and swaps the staging columns in after the pass.
 ///
 /// This replaces the legacy split path's three full-population sweeps
 /// (scalar wrapped gather + push, a re-binning deposit with its own
 /// counting sort, a separate wrap pass) and its old-position snapshot
 /// vectors — old positions live in the tile loop's registers instead.
-/// bench/particle_pipeline.cpp measures the A/B (target >= 1.5x particle
-/// updates/s on the quick-demo KHI at 8 threads).
+/// The in-tile ordering and the 7-column gather run inside the tile pass,
+/// so a species step forks two OpenMP regions (bin, tile pass) and each
+/// tile is gathered while it is in cache. bench/particle_pipeline.cpp
+/// measures the A/B (target >= 1.5x particle updates/s on the quick-demo
+/// KHI at 8 threads).
 ///
-/// Determinism: the sort orders each tile canonically by phase-space key
-/// (a pure function of the particle multiset — see SupercellIndex), tile
-/// caches are copies, per-particle arithmetic is shared with the split
-/// path (interpolate.hpp / pusher.hpp / deposit.hpp kernels), per-tile
+/// Determinism: each tile is ordered canonically by phase-space key (a
+/// pure function of the particle multiset — see SupercellIndex; the same
+/// permutation SupercellIndex::sort produces), tile caches are copies,
+/// per-particle arithmetic is shared with the split path
+/// (interpolate.hpp / pusher.hpp / deposit.hpp kernels), per-tile
 /// scatter order is the sorted order, and the reduction is the fixed-
 /// order DepositBuffer reduce — so a fused step is bit-identical across
 /// OMP thread counts, schedules, and repeated runs, bit-identical to
@@ -45,17 +54,18 @@ enum class ParticlePipeline {
 };
 
 /// Driver of the fused per-tile pass. Owns the supercell index used for
-/// the per-step sort; accumulator storage and the fixed-order reduction
-/// are shared with the split path through DepositBuffer. Not thread-safe
-/// (internally OpenMP-parallel): one instance per simulation driver.
+/// the per-step binning and the staging columns the pass writes;
+/// accumulator storage and the fixed-order reduction are shared with the
+/// split path through DepositBuffer. Not thread-safe (internally
+/// OpenMP-parallel): one instance per simulation driver.
 class FusedPipeline {
  public:
   /// Tile geometry is taken from `accumCfg` and must match the
   /// DepositBuffer later passed to pushAndDeposit (checked there).
   explicit FusedPipeline(const GridSpec& grid, TileDepositConfig accumCfg = {});
 
-  /// One fused update of every particle in `p`: sort by supercell, then
-  /// per tile gather/push/move/deposit/wrap, then reduce the tile
+  /// One fused update of every particle in `p`: bin by supercell, then
+  /// per tile order/gather/push/move/deposit/wrap, then reduce the tile
   /// accumulators into J (accumulates; caller zeroes J per step).
   /// Positions must be wrapped into [0, n) on entry (throws otherwise);
   /// per-particle displacement must stay under one cell per axis (the
@@ -68,8 +78,8 @@ class FusedPipeline {
                       std::vector<double>* bdy = nullptr,
                       std::vector<double>* bdz = nullptr);
 
-  /// The fused pass *without* the final reduction: sort, then per tile
-  /// gather/push/move/deposit/wrap, leaving the tile accumulators in
+  /// The fused pass *without* the final reduction: bin, then per tile
+  /// order/gather/push/move/deposit/wrap, leaving the tile accumulators in
   /// `accum` populated for the occupied tiles of index(). The
   /// rank-decomposed driver uses this so every rank can scatter into its
   /// private accumulators concurrently and the cross-rank reduction can
@@ -85,12 +95,19 @@ class FusedPipeline {
   const SupercellIndex& index() const { return index_; }
 
  private:
+  /// One worker thread's scratch (grow-only, reused across steps so the
+  /// hot loop never allocates). Contents are fully rewritten per tile, so
+  /// reuse cannot leak state between tiles or steps.
+  struct ThreadScratch {
+    std::vector<double> cache;  ///< E/B tile caches, 6 components
+    std::vector<SupercellIndex::SortKey> keys;  ///< in-tile order keys
+  };
+
   GridSpec grid_;
-  SupercellIndex index_;
-  /// Per-thread E/B tile-cache arenas (grow-only, reused across steps so
-  /// the hot loop never allocates). Contents are fully rewritten per
-  /// tile, so reuse cannot leak state between tiles or steps.
-  std::vector<std::vector<double>> caches_;
+  SupercellIndex index_;  ///< binned only; its sort() staging stays empty
+  std::vector<ThreadScratch> threads_;
+  /// The tile pass's output columns, swapped with the buffer's after it.
+  ParticleBuffer staging_;
 };
 
 }  // namespace artsci::pic

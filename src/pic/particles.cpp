@@ -1,6 +1,11 @@
 #include "pic/particles.hpp"
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -66,6 +71,26 @@ void ParticleBuffer::swapRemove(std::size_t i) {
   w.pop_back();
 }
 
+void ParticleBuffer::resize(std::size_t n) {
+  x.resize(n);
+  y.resize(n);
+  z.resize(n);
+  ux.resize(n);
+  uy.resize(n);
+  uz.resize(n);
+  w.resize(n);
+}
+
+void ParticleBuffer::swapColumns(ParticleBuffer& other) {
+  x.swap(other.x);
+  y.swap(other.y);
+  z.swap(other.z);
+  ux.swap(other.ux);
+  uy.swap(other.uy);
+  uz.swap(other.uz);
+  w.swap(other.w);
+}
+
 double ParticleBuffer::gamma(std::size_t i) const {
   const double u2 = ux[i] * ux[i] + uy[i] * uy[i] + uz[i] * uz[i];
   return std::sqrt(1.0 + u2);
@@ -94,6 +119,72 @@ Vec3d ParticleBuffer::totalMomentum() const {
 }
 
 namespace {
+
+/// Below this many particles bin() and sort() run on the calling thread.
+/// An empty parallel region of a 4-thread team cost 2 us with the team
+/// spinning and 17 us once it sleeps (libgomp, 4-vCPU VM, Release);
+/// binning, and ordering plus gathering, each cost about 15 ns per
+/// particle on one thread, so 4096 particles (~60 us) is where the team
+/// saves several times its start-up. Same bits either way: no result
+/// depends on the team.
+constexpr std::size_t kMinParallelParticles = 4096;
+
+/// Order-preserving 64-bit image of a double: for non-NaN a and b,
+/// orderedKey(a) < orderedKey(b) exactly when a < b, and the keys are
+/// equal exactly when a == b. Adding +0.0 folds -0.0 into +0.0; then the
+/// sign bit is set on non-negative values and every bit flipped on
+/// negative ones, which turns the IEEE layout into unsigned order.
+std::uint64_t orderedKey(double v) {
+  const auto bits = std::bit_cast<std::uint64_t>(v + 0.0);
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  return (bits & kSign) != 0 ? ~bits : bits | kSign;
+}
+
+/// Run length the in-tile sort insertion-sorts before merging.
+constexpr std::size_t kRun = 32;
+
+template <class Before>
+void insertionSort(SupercellIndex::SortKey* k, std::size_t m,
+                   const Before& before) {
+  for (std::size_t i = 1; i < m; ++i) {
+    const SupercellIndex::SortKey e = k[i];
+    std::size_t j = i;
+    for (; j > 0 && before(e, k[j - 1]); --j) k[j] = k[j - 1];
+    k[j] = e;
+  }
+}
+
+/// Merge the sorted neighbours a = k[0, na) and b = k[na, na + nb) in
+/// place. Only their overlap moves: the head of a below b's first key and
+/// the tail of b above a's last key are found by binary search and stay
+/// put, and the shorter side of what is left goes to `spare` (room for
+/// min(na, nb) keys). Runs already in order cost one comparison.
+template <class Before>
+void mergeRuns(SupercellIndex::SortKey* k, std::size_t na, std::size_t nb,
+               SupercellIndex::SortKey* spare, const Before& before) {
+  SupercellIndex::SortKey* const b = k + na;
+  if (!before(b[0], b[-1])) return;
+  SupercellIndex::SortKey* const lo = std::upper_bound(k, b, b[0], before);
+  SupercellIndex::SortKey* const hi =
+      std::lower_bound(b, b + nb, b[-1], before);
+  const auto la = static_cast<std::size_t>(b - lo);
+  const auto lb = static_cast<std::size_t>(hi - b);
+  if (la <= lb) {
+    // Forward: a's overlap to spare, merge up from lo.
+    std::copy(lo, b, spare);
+    std::size_t x = 0, y = 0, out = 0;
+    while (x < la && y < lb)
+      lo[out++] = before(b[y], spare[x]) ? b[y++] : spare[x++];
+    while (x < la) lo[out++] = spare[x++];
+  } else {
+    // Backward: b's overlap to spare, merge down from hi.
+    std::copy(b, hi, spare);
+    std::size_t x = la, y = lb, out = la + lb;
+    while (x > 0 && y > 0)
+      lo[--out] = before(spare[y - 1], lo[x - 1]) ? lo[--x] : spare[--y];
+    while (y > 0) lo[--out] = spare[--y];
+  }
+}
 
 long clampedEdge(long edge, long cells) {
   ARTSCI_EXPECTS(edge >= 1 && cells >= 1);
@@ -148,7 +239,8 @@ bool SupercellIndex::bin(const double* xs, const double* ys, const double* zs,
   // would terminate — and their keys clamped so the ranges stay valid.
   bool inDomain = true;
 #ifdef _OPENMP
-#pragma omp parallel for schedule(static) reduction(&& : inDomain)
+#pragma omp parallel for schedule(static) reduction(&& : inDomain) \
+    if (n >= kMinParallelParticles)
 #endif
   for (long i = 0; i < nl; ++i) {
     const auto s = static_cast<std::size_t>(i);
@@ -189,74 +281,80 @@ bool SupercellIndex::bin(const double* xs, const double* ys, const double* zs,
   return inDomain;
 }
 
+void SupercellIndex::orderTile(long t, const ParticleBuffer& src,
+                               ParticleBuffer& dst,
+                               std::vector<SortKey>& keys) {
+  const Range r = tileRange(t);
+  const std::size_t m = r.end - r.begin;
+  if (m == 0) return;
+  std::uint32_t* idx = perm_.data() + r.begin;
+  // m keys, then room for the larger half a merge may set aside.
+  if (keys.size() < m + m / 2) keys.resize(m + m / 2);
+  SortKey* const k = keys.data();
+  for (std::size_t i = 0; i < m; ++i)
+    k[i] = {orderedKey(src.x[idx[i]]), idx[i]};
+
+  // Canonical order: ascending x-major phase-space key. Equal x keys mean
+  // equal x, so a tie goes on to y, z, ux, uy, uz, w and, past all seven,
+  // to the input index. The order is strict and total, so every correct
+  // sort yields this one permutation.
+  const auto before = [&src](const SortKey& a, const SortKey& b) {
+    if (a.x != b.x) return a.x < b.x;
+    const auto i = static_cast<std::size_t>(a.index);
+    const auto j = static_cast<std::size_t>(b.index);
+    if (src.y[i] != src.y[j]) return src.y[i] < src.y[j];
+    if (src.z[i] != src.z[j]) return src.z[i] < src.z[j];
+    if (src.ux[i] != src.ux[j]) return src.ux[i] < src.ux[j];
+    if (src.uy[i] != src.uy[j]) return src.uy[i] < src.uy[j];
+    if (src.uz[i] != src.uz[j]) return src.uz[i] < src.uz[j];
+    if (src.w[i] != src.w[j]) return src.w[i] < src.w[j];
+    return a.index < b.index;
+  };
+  for (std::size_t b = 0; b < m; b += kRun)
+    insertionSort(k + b, std::min(kRun, m - b), before);
+  for (std::size_t width = kRun; width < m; width *= 2)
+    for (std::size_t b = 0; b + width < m; b += 2 * width)
+      mergeRuns(k + b, width, std::min(width, m - b - width), k + m, before);
+
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto s = static_cast<std::size_t>(k[i].index);
+    const std::size_t d = r.begin + i;
+    idx[i] = k[i].index;
+    dst.x[d] = src.x[s];
+    dst.y[d] = src.y[s];
+    dst.z[d] = src.z[s];
+    dst.ux[d] = src.ux[s];
+    dst.uy[d] = src.uy[s];
+    dst.uz[d] = src.uz[s];
+    dst.w[d] = src.w[s];
+  }
+}
+
 bool SupercellIndex::sort(ParticleBuffer& buffer) {
   const std::size_t n = buffer.size();
   const bool inDomain =
       bin(buffer.x.data(), buffer.y.data(), buffer.z.data(), n);
-
-  // Canonical in-tile order: ascending x-major phase-space key. This
-  // erases the buffer's arrival history from the per-tile order, making
-  // it a pure function of the particle multiset (the property the
-  // rank-decomposed driver's cross-rank bit-identity rests on). The
-  // x-first comparison resolves almost every pair in one compare, and
-  // full seven-key ties are physically identical particles, for which
-  // any order yields the same bits everywhere downstream.
-  const ParticleBuffer& b = buffer;
-  const auto canonicalBefore = [&b](std::uint32_t ia, std::uint32_t ib) {
-    const auto a = static_cast<std::size_t>(ia);
-    const auto c = static_cast<std::size_t>(ib);
-    if (b.x[a] != b.x[c]) return b.x[a] < b.x[c];
-    if (b.y[a] != b.y[c]) return b.y[a] < b.y[c];
-    if (b.z[a] != b.z[c]) return b.z[a] < b.z[c];
-    if (b.ux[a] != b.ux[c]) return b.ux[a] < b.ux[c];
-    if (b.uy[a] != b.uy[c]) return b.uy[a] < b.uy[c];
-    if (b.uz[a] != b.uz[c]) return b.uz[a] < b.uz[c];
-    return b.w[a] < b.w[c];
-  };
+  scratch_.resize(n);
+#ifdef _OPENMP
+  const auto team = static_cast<std::size_t>(omp_get_max_threads());
+#else
+  const std::size_t team = 1;
+#endif
+  if (keys_.size() < team) keys_.resize(team);
   const long tiles = tileCount();
 #ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic)
+#pragma omp parallel for schedule(dynamic) if (n >= kMinParallelParticles)
 #endif
   for (long t = 0; t < tiles; ++t) {
-    const Range r = ranges_[static_cast<std::size_t>(t)];
-    if (r.end - r.begin > 1)
-      std::sort(perm_.begin() + static_cast<std::ptrdiff_t>(r.begin),
-                perm_.begin() + static_cast<std::ptrdiff_t>(r.end),
-                canonicalBefore);
-  }
-
-  // Apply the permutation as a gather (parallel-safe: every destination
-  // is written exactly once) into the staging buffer, then swap the
-  // columns so both allocations are reused on the next call.
-  scratch_.x.resize(n);
-  scratch_.y.resize(n);
-  scratch_.z.resize(n);
-  scratch_.ux.resize(n);
-  scratch_.uy.resize(n);
-  scratch_.uz.resize(n);
-  scratch_.w.resize(n);
-  const long nl = static_cast<long>(n);
 #ifdef _OPENMP
-#pragma omp parallel for schedule(static)
+    std::vector<SortKey>& keys =
+        keys_[static_cast<std::size_t>(omp_get_thread_num())];
+#else
+    std::vector<SortKey>& keys = keys_[0];
 #endif
-  for (long i = 0; i < nl; ++i) {
-    const auto dst = static_cast<std::size_t>(i);
-    const auto src = static_cast<std::size_t>(perm_[dst]);
-    scratch_.x[dst] = buffer.x[src];
-    scratch_.y[dst] = buffer.y[src];
-    scratch_.z[dst] = buffer.z[src];
-    scratch_.ux[dst] = buffer.ux[src];
-    scratch_.uy[dst] = buffer.uy[src];
-    scratch_.uz[dst] = buffer.uz[src];
-    scratch_.w[dst] = buffer.w[src];
+    orderTile(t, buffer, scratch_, keys);
   }
-  buffer.x.swap(scratch_.x);
-  buffer.y.swap(scratch_.y);
-  buffer.z.swap(scratch_.z);
-  buffer.ux.swap(scratch_.ux);
-  buffer.uy.swap(scratch_.uy);
-  buffer.uz.swap(scratch_.uz);
-  buffer.w.swap(scratch_.w);
+  buffer.swapColumns(scratch_);
   return inDomain;
 }
 

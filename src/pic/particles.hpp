@@ -3,9 +3,10 @@
 ///
 /// PIConGPU's key data structure is the supercell: particles are kept
 /// grouped by small tiles of cells so neighbouring particles are adjacent
-/// in memory [Hoenig et al. 2010]. We reproduce that with a counting-sort
-/// based reordering into supercell bins; the radiation plugin and the
-/// ML region extraction iterate tiles for locality.
+/// in memory [Hoenig et al. 2010], and a step moves only the particles
+/// that cross a supercell border [Bussmann et al. 2013]. We reproduce that
+/// with a stable counting sort into supercell bins followed by an
+/// incremental in-tile ordering that starts from last step's order.
 ///
 /// Positions are stored in *cell units* (continuous, x in [0, nx)),
 /// momenta as u = gamma*beta in units of m c.
@@ -52,6 +53,11 @@ class ParticleBuffer {
   /// Remove particle i by swapping with the last (O(1), order not kept).
   void swapRemove(std::size_t i);
 
+  /// Resize every SoA column to `n` particles (capacity is kept).
+  void resize(std::size_t n);
+  /// Exchange all seven columns with `other`; species info stays put.
+  void swapColumns(ParticleBuffer& other);
+
   const SpeciesInfo& info() const { return info_; }
 
   /// gamma = sqrt(1 + u^2) of particle i.
@@ -85,22 +91,42 @@ inline double wrapCoordinate(double v, double n) {
 /// Supercell index: after sort(), particles are ordered by tile and
 /// tileRange() gives each tile's contiguous [begin, end) range. bin()
 /// provides a stable counting sort as an index permutation without
-/// moving particle data (the deposition buffer's binning).
+/// moving particle data (the deposition buffer's binning); orderTile()
+/// then puts one tile in canonical order and gathers it.
 ///
 /// Determinism: binning depends only on positions and the tile geometry.
-/// bin()'s per-tile order is ascending input index (stable); sort()
-/// additionally orders each tile canonically by the x-major phase-space
-/// key (x, y, z, ux, uy, uz, w), so the post-sort order is a pure
-/// function of the particle *multiset* — independent of input order,
-/// OMP thread count, and schedule. That last property is what makes the
-/// rank-decomposed driver bit-identical to single-rank stepping: an
-/// x-slab partition splits each tile's population into contiguous runs
-/// of the canonical order (slab bounds are x-thresholds and the key is
-/// x-major), so scattering rank parts in ascending rank order
-/// reproduces the single-rank per-tile scatter sequence exactly
+/// bin()'s per-tile order is ascending input index (stable); orderTile()
+/// orders each tile canonically by the x-major phase-space key
+/// (x, y, z, ux, uy, uz, w), ties on all seven broken by input index, so
+/// the post-sort order is a pure function of the particle *multiset*
+/// (up to identical particles, whose order changes no bit) — independent
+/// of input order, OMP thread count, and schedule. That last property is
+/// what makes the rank-decomposed driver bit-identical to single-rank
+/// stepping: an x-slab partition splits each tile's population into
+/// contiguous runs of the canonical order (slab bounds are x-thresholds
+/// and the key is x-major), so scattering rank parts in ascending rank
+/// order reproduces the single-rank per-tile scatter sequence exactly
 /// (see pic/domain.hpp).
+///
+/// Incremental ordering: particles move well under one cell per step and
+/// bin() is stable, so a tile reaches orderTile() as a few runs, each in
+/// last step's canonical order: the particles from lower-numbered tiles,
+/// those that stayed, and those from higher-numbered tiles. orderTile()
+/// insertion-sorts blocks of 32 (x key, index) pairs, then merges
+/// neighbouring blocks bottom-up, moving only where two runs overlap.
+/// That costs O(m) plus the distance crossing particles travel, also for
+/// those that wrap across the periodic boundary to the far end of a tile
+/// (a plain insertion sort pays m shifts for each), and never more than
+/// a merge sort's O(m log m).
 class SupercellIndex {
  public:
+  /// One particle of a tile being ordered: an order-preserving 64-bit
+  /// image of its x and its index.
+  struct SortKey {
+    std::uint64_t x;
+    std::uint32_t index;
+  };
+
   /// Cubic tiles: edge in cells per axis (PIConGPU typically uses 8x8x4;
   /// we default 4^3).
   SupercellIndex(const GridSpec& grid, long tileEdge = 4);
@@ -125,12 +151,17 @@ class SupercellIndex {
   /// Tile-sorted particle indices of the latest bin()/sort() call.
   const std::vector<std::uint32_t>& permutation() const { return perm_; }
 
-  /// Counting-sort the buffer by tile id, then order each tile by the
-  /// canonical phase-space key (x, y, z, ux, uy, uz, w) — see the class
-  /// comment; ties across all seven keys are physically indistinguishable
-  /// particles, so the order is total for every observable purpose.
-  /// Returns bin()'s in-domain flag; out-of-domain particles are sorted
-  /// into their clamped tile.
+  /// Canonically order tile `t`'s slice of permutation() (left by bin()
+  /// over `src`'s positions) and gather those particles from `src` into
+  /// the same slots of `dst`, which must hold src.size() particles.
+  /// `keys` is the calling thread's scratch (grow-only). Distinct tiles may
+  /// be ordered concurrently, each thread with its own `keys`.
+  void orderTile(long t, const ParticleBuffer& src, ParticleBuffer& dst,
+                 std::vector<SortKey>& keys);
+
+  /// bin(), then orderTile() on every tile, then swap the ordered columns
+  /// in. Returns bin()'s in-domain flag; out-of-domain particles are
+  /// sorted into their clamped tile.
   bool sort(ParticleBuffer& buffer);
 
   struct Range {
@@ -162,6 +193,7 @@ class SupercellIndex {
   std::vector<std::int32_t> tileOf_;  ///< binning scratch: particle -> tile
   std::vector<std::size_t> cursor_;   ///< counting-sort write heads
   ParticleBuffer scratch_;            ///< sort() staging (storage reused)
+  std::vector<std::vector<SortKey>> keys_;  ///< sort()'s per-thread keys
 };
 
 }  // namespace artsci::pic

@@ -159,7 +159,12 @@ TEST(Domain, BitIdenticalToSingleRankAcrossRankCounts) {
 }
 
 TEST(Domain, BitIdenticalAcrossThreadCounts) {
-  const KhiConfig kcfg = smallKhi();
+  // Large enough that at 8 threads (4 per rank) every OpenMP region of a
+  // rank step runs on the team: about 5000 particles per rank and
+  // species, 1024-cell slabs.
+  KhiConfig kcfg = smallKhi();
+  kcfg.grid = GridSpec{32, 16, 4, 0.25, 0.25, 0.25};
+  kcfg.particlesPerCell = 5;
   const TileDepositConfig tiles{4, 8};
   ThreadCountGuard guard;
 
@@ -168,7 +173,7 @@ TEST(Domain, BitIdenticalAcrossThreadCounts) {
   base.run(12);
   const ParticleBuffer baseE = base.gatherSpecies(0);
 
-  for (const int threads : {2, 8}) {
+  for (const int threads : {2, 3, 8}) {
     guard.set(threads);
     DistributedSimulation other = makeDistributedKhi(kcfg, 2, tiles);
     other.run(12);

@@ -1,12 +1,15 @@
 /// Edge-case tests of the particle container and the supercell index:
 /// bin()'s counting-sort stability, sort()'s canonical in-tile order (the
 /// order-is-a-function-of-the-multiset property the rank-decomposed
-/// driver's bit-identity rests on), per-axis tile geometry, and the
+/// driver's bit-identity rests on), the incremental in-tile ordering
+/// against a naive std::sort oracle, per-axis tile geometry, and the
 /// ParticleBuffer::swapRemove/append interactions (empty buffer,
 /// all-one-tile, remove-last) that the rank-migration path exercises.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -25,6 +28,216 @@ ParticleBuffer randomParticles(const GridSpec& g, int n, std::uint64_t seed) {
            {rng.normal(), rng.normal(), rng.normal()},
            static_cast<double>(i));  // weight tags the insertion order
   return p;
+}
+
+/// The canonical order by definition: bin(), then a std::sort of each
+/// tile's slice of the permutation with the 7-key comparator read through
+/// the index, full ties broken by input index.
+std::vector<std::uint32_t> oraclePermutation(const ParticleBuffer& b,
+                                             const GridSpec& g, long edgeX,
+                                             long edgeY) {
+  SupercellIndex idx(g, edgeX, edgeY, g.nz);
+  idx.bin(b.x.data(), b.y.data(), b.z.data(), b.size());
+  std::vector<std::uint32_t> perm = idx.permutation();
+  const auto before = [&b](std::uint32_t ia, std::uint32_t ib) {
+    const auto i = static_cast<std::size_t>(ia);
+    const auto j = static_cast<std::size_t>(ib);
+    if (b.x[i] != b.x[j]) return b.x[i] < b.x[j];
+    if (b.y[i] != b.y[j]) return b.y[i] < b.y[j];
+    if (b.z[i] != b.z[j]) return b.z[i] < b.z[j];
+    if (b.ux[i] != b.ux[j]) return b.ux[i] < b.ux[j];
+    if (b.uy[i] != b.uy[j]) return b.uy[i] < b.uy[j];
+    if (b.uz[i] != b.uz[j]) return b.uz[i] < b.uz[j];
+    if (b.w[i] != b.w[j]) return b.w[i] < b.w[j];
+    return ia < ib;
+  };
+  for (long t = 0; t < idx.tileCount(); ++t) {
+    const auto r = idx.tileRange(t);
+    std::sort(perm.begin() + static_cast<std::ptrdiff_t>(r.begin),
+              perm.begin() + static_cast<std::ptrdiff_t>(r.end), before);
+  }
+  return perm;
+}
+
+bool columnBitsEqual(const std::vector<double>& a,
+                     const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// sort() must apply exactly the oracle's permutation: same indices, and
+/// every column gathered bit for bit (the sign of a zero included).
+void expectMatchesOracle(const ParticleBuffer& input, const GridSpec& g,
+                         long edgeX, long edgeY) {
+  const std::vector<std::uint32_t> expected =
+      oraclePermutation(input, g, edgeX, edgeY);
+  ParticleBuffer sorted = input;
+  SupercellIndex idx(g, edgeX, edgeY, g.nz);
+  idx.sort(sorted);
+  ASSERT_EQ(idx.permutation(), expected);
+  ParticleBuffer gathered(input.info());
+  for (const std::uint32_t i : expected)
+    gathered.push({input.x[i], input.y[i], input.z[i]},
+                  {input.ux[i], input.uy[i], input.uz[i]}, input.w[i]);
+  EXPECT_TRUE(columnBitsEqual(sorted.x, gathered.x));
+  EXPECT_TRUE(columnBitsEqual(sorted.y, gathered.y));
+  EXPECT_TRUE(columnBitsEqual(sorted.z, gathered.z));
+  EXPECT_TRUE(columnBitsEqual(sorted.ux, gathered.ux));
+  EXPECT_TRUE(columnBitsEqual(sorted.uy, gathered.uy));
+  EXPECT_TRUE(columnBitsEqual(sorted.uz, gathered.uz));
+  EXPECT_TRUE(columnBitsEqual(sorted.w, gathered.w));
+}
+
+TEST(OrderTileOracle, RandomOrder) {
+  const GridSpec g{16, 16, 4, 0.2, 0.2, 0.2};
+  expectMatchesOracle(randomParticles(g, 3000, 21), g, 8, 8);
+}
+
+TEST(OrderTileOracle, LastStepOrderAfterASubCellMove) {
+  // The steady state: the buffer is in canonical order, then every
+  // particle moves a fraction of a cell (counter-streaming in x, so
+  // neighbours overtake each other) and some cross into a neighbouring
+  // tile, across the periodic boundary included.
+  const GridSpec g{16, 16, 4, 0.2, 0.2, 0.2};
+  ParticleBuffer p = randomParticles(g, 4000, 22);
+  SupercellIndex idx(g, 8, 8, g.nz);
+  ASSERT_TRUE(idx.sort(p));
+  Rng rng(23);
+  for (int step = 0; step < 3; ++step) {
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      const double stream = p.y[i] < 8.0 ? 0.3 : -0.3;
+      p.x[i] = wrapCoordinate(p.x[i] + stream + rng.uniform(-0.05, 0.05),
+                              static_cast<double>(g.nx));
+      p.y[i] = wrapCoordinate(p.y[i] + rng.uniform(-0.2, 0.2),
+                              static_cast<double>(g.ny));
+    }
+    expectMatchesOracle(p, g, 8, 8);
+    ASSERT_TRUE(idx.sort(p));
+  }
+}
+
+TEST(OrderTileOracle, ReversedOrder) {
+  const GridSpec g{16, 16, 4, 0.2, 0.2, 0.2};
+  ParticleBuffer p = randomParticles(g, 3000, 24);
+  SupercellIndex idx(g, 8, 8, g.nz);
+  ASSERT_TRUE(idx.sort(p));
+  ParticleBuffer reversed(p.info());
+  for (std::size_t i = p.size(); i-- > 0;)
+    reversed.push({p.x[i], p.y[i], p.z[i]}, {p.ux[i], p.uy[i], p.uz[i]},
+                  p.w[i]);
+  expectMatchesOracle(reversed, g, 8, 8);
+}
+
+TEST(OrderTileOracle, ExactDuplicatesAndTiesOnEveryKey) {
+  // Exact 7-key duplicates order by input index; x ties are broken by y,
+  // x and y ties by z, and so on down to w.
+  const GridSpec g{8, 8, 4, 0.2, 0.2, 0.2};
+  ParticleBuffer p({-1.0, 1.0, "e"});
+  Rng rng(25);
+  const auto pick = [&rng](std::uint64_t n) {
+    return static_cast<double>(rng.uniformInt(n));
+  };
+  for (int i = 0; i < 400; ++i) {
+    const double x = 0.25 * pick(32);
+    const double y = 0.5 * pick(16);
+    const double z = pick(4);
+    const double ux = 0.1 * pick(3);
+    const double uy = 0.1 * pick(3);
+    const double uz = 0.1 * pick(3);
+    const double w = 1.0 + pick(2);
+    p.push({x, y, z}, {ux, uy, uz}, w);
+    if (i % 5 == 0) p.push({x, y, z}, {ux, uy, uz}, w);  // exact duplicate
+  }
+  expectMatchesOracle(p, g, 4, 4);
+  expectMatchesOracle(p, g, 8, 8);  // one tile
+}
+
+TEST(OrderTileOracle, SignedZeroPositions) {
+  // -0.0 == +0.0, so the key folds them together and the order falls
+  // through to the next key or, on a full tie, the input index; the
+  // gathered columns keep each zero's sign.
+  const GridSpec g{8, 8, 4, 0.2, 0.2, 0.2};
+  ParticleBuffer p({-1.0, 1.0, "e"});
+  for (int i = 0; i < 8; ++i) {
+    const double x = (i % 2 == 0) ? -0.0 : 0.0;
+    const double y = (i % 4 < 2) ? 0.0 : -0.0;
+    p.push({x, y, 1.0}, {0.0, 0.0, 0.0}, 1.0);
+    p.push({x, 0.5 - 0.1 * static_cast<double>(i), 1.0}, {-0.0, 0.0, 0.0},
+           1.0);
+  }
+  p.push({0.25, -0.0, 0.0}, {0.0, 0.0, 0.0}, 1.0);
+  expectMatchesOracle(p, g, 4, 4);
+}
+
+TEST(OrderTileOracle, OutOfDomainPositionsOrderLikeLessThan) {
+  // sort() clamps out-of-domain particles into the edge tiles; their keys
+  // (negative x included) must still order exactly like `<`.
+  const GridSpec g{8, 8, 4, 0.2, 0.2, 0.2};
+  ParticleBuffer p = randomParticles(g, 200, 26);
+  Rng rng(27);
+  for (int i = 0; i < 60; ++i)
+    p.push({rng.uniform(-3.0, 0.0), rng.uniform(-2.0, 10.0),
+            rng.uniform(-1.0, 5.0)},
+           {rng.normal(), 0.0, 0.0}, 1.0);
+  p.push({-1e-300, 1.0, 1.0}, {}, 1.0);
+  p.push({-0.0, 1.0, 1.0}, {}, 1.0);
+  p.push({9.5, 1.0, 1.0}, {}, 1.0);
+  for (std::size_t i = 0; i < 3; ++i) {  // swap the far ones to the front
+    std::swap(p.x[i], p.x[p.size() - 1 - i]);
+    std::swap(p.y[i], p.y[p.size() - 1 - i]);
+  }
+  ParticleBuffer copy = p;
+  SupercellIndex idx(g, 4, 4, g.nz);
+  EXPECT_FALSE(idx.sort(copy));
+  expectMatchesOracle(p, g, 4, 4);
+}
+
+TEST(OrderTileOracle, LargeTileInEveryStartingOrder) {
+  // One tile of 20001 particles: many merge levels, a ragged last run,
+  // and input orders from sorted to reversed to random.
+  const GridSpec g{8, 8, 4, 0.2, 0.2, 0.2};
+  ParticleBuffer p = randomParticles(g, 20001, 28);
+  expectMatchesOracle(p, g, 8, 8);
+  SupercellIndex idx(g, 8, 8, g.nz);
+  ASSERT_TRUE(idx.sort(p));
+  expectMatchesOracle(p, g, 8, 8);  // already canonical
+  ParticleBuffer reversed(p.info());
+  for (std::size_t i = p.size(); i-- > 0;)
+    reversed.push({p.x[i], p.y[i], p.z[i]}, {p.ux[i], p.uy[i], p.uz[i]},
+                  p.w[i]);
+  expectMatchesOracle(reversed, g, 8, 8);
+  // Canonical order with a block of far movers at each end, the shape the
+  // periodic wrap produces.
+  ParticleBuffer wrapped(p.info());
+  for (std::size_t i = p.size() - 40; i < p.size(); ++i)
+    wrapped.push({p.x[i], p.y[i], p.z[i]}, {p.ux[i], p.uy[i], p.uz[i]},
+                 p.w[i]);
+  for (std::size_t i = 40; i < p.size() - 40; ++i)
+    wrapped.push({p.x[i], p.y[i], p.z[i]}, {p.ux[i], p.uy[i], p.uz[i]},
+                 p.w[i]);
+  for (std::size_t i = 0; i < 40; ++i)
+    wrapped.push({p.x[i], p.y[i], p.z[i]}, {p.ux[i], p.uy[i], p.uz[i]},
+                 p.w[i]);
+  expectMatchesOracle(wrapped, g, 8, 8);
+}
+
+TEST(OrderTileOracle, OrderTileAloneReusesItsScratch) {
+  // The fused pipeline's use: bin(), then orderTile() per tile into a
+  // separate buffer with one grow-only scratch across tiles of any size.
+  const GridSpec g{16, 16, 4, 0.2, 0.2, 0.2};
+  const ParticleBuffer p = randomParticles(g, 2500, 29);
+  const std::vector<std::uint32_t> expected = oraclePermutation(p, g, 4, 8);
+  SupercellIndex idx(g, 4, 8, g.nz);
+  ASSERT_TRUE(idx.bin(p.x.data(), p.y.data(), p.z.data(), p.size()));
+  ParticleBuffer out(p.info());
+  out.resize(p.size());
+  std::vector<SupercellIndex::SortKey> keys;
+  for (long t = idx.tileCount(); t-- > 0;) idx.orderTile(t, p, out, keys);
+  ASSERT_EQ(idx.permutation(), expected);
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    EXPECT_EQ(out.x[i], p.x[expected[i]]);
+    EXPECT_EQ(out.w[i], p.w[expected[i]]);
+  }
 }
 
 TEST(SupercellSort, CanonicalOrderWithinEveryTile) {
